@@ -127,6 +127,12 @@ impl InflightWriters {
     /// Waits until no writer is mutating `name` (reader back-off path):
     /// exponential backoff from spinning to capped micro-sleeps, so a
     /// contended key does not burn a core per blocked reader.
+    ///
+    /// The yield stage of [`Backoff`] is bounded by elapsed time
+    /// (~200 µs), not by a step count: the writer is normally one SSD
+    /// write plus one fence (~10–20 µs) from unregistering, and even a
+    /// 16 µs sleep takes ~65 µs under Linux's default 50 µs timer
+    /// slack, so only a wait past the budget sleeps.
     pub fn wait_clear(&self, name: &[u8]) {
         let t = std::time::Instant::now();
         let mut backoff = Backoff::new();

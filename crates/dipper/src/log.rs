@@ -119,8 +119,8 @@ struct QueuedCommit {
 }
 
 /// The flush combiner's shared state (§4.4's "group persistence" of
-/// commit flags): committers enqueue their record, and one elected
-/// thread drains the queue behind a single flush+fence.
+/// commit flags): committers enqueue their record, and whichever holds
+/// the drain lock next drains the queue behind a single flush+fence.
 #[derive(Default)]
 struct CommitCombiner {
     /// Commits not yet persisted. Pushing and taking a ticket happen
@@ -130,7 +130,8 @@ struct CommitCombiner {
     tickets: AtomicU64,
     /// Tickets whose commits have been persisted.
     served: AtomicU64,
-    /// Combiner election: whoever `try_lock`s this drains the queue.
+    /// Drain hand-off: a committer whose ticket is still unserved when
+    /// it acquires this lock drains the whole queue.
     drain: Mutex<()>,
 }
 
@@ -171,7 +172,7 @@ pub struct OpLog {
     /// [`OpLog::set_commit_combining`] before the log is shared.
     combine_commits: bool,
     /// Epoch-batched durability: publishes only *store* the record body
-    /// (no flush, no fence) and the elected drainer persists every body,
+    /// (no flush, no fence) and the drainer persists every body,
     /// flag, and gap header of the batch behind **one** merged fence —
     /// after waiting out the batch's slowest SSD submission. Written only
     /// by [`OpLog::set_durability_epoch`] before the log is shared.
@@ -470,8 +471,9 @@ impl OpLog {
     /// record, after the operation's data is durable (§4.5).
     ///
     /// With commit combining on, concurrent committers share one
-    /// flush+fence: each writes its flag and enqueues its offset, and
-    /// whichever thread wins the drain lock persists the whole batch via
+    /// flush+fence: each writes its flag and enqueues its offset, then
+    /// takes the drain lock (blocking) and, unless an earlier holder's
+    /// batch already covered it, persists everything queued via
     /// [`PmemPool::persist_many`]. Every participant still returns only
     /// once its own flag is durable, so the commit's durability contract
     /// is unchanged — only the fence count drops.
@@ -482,12 +484,18 @@ impl OpLog {
     /// [`OpLog::commit`] with the operation's SSD durability deadline
     /// (ns on [`dstore_telemetry::now_ns`]; 0 = no SSD write pending).
     ///
-    /// Only meaningful under epoch durability, where the elected drainer
+    /// Only meaningful under epoch durability. The committer queues its
+    /// record, then waits out its *own* deadline (yielding) before it
+    /// contends for the drain: no batch holding its record could be
+    /// fenced earlier anyway, and while it waits a drainer whose own
+    /// deadline passed first may fold it into that drain. The drainer
     /// waits out the *batch maximum* deadline before storing any commit
     /// flag — so one epoch fence covers log record + flag + SSD ack for
     /// every record in the batch, and no flag can reach the media before
-    /// its operation's data is durable. Outside epoch mode callers wait
-    /// on the SSD synchronously before committing and pass 0.
+    /// its operation's data is durable. The wait cannot move ahead of
+    /// the swap lock: the queued offset is only stable while it is held.
+    /// Outside epoch mode callers wait on the SSD synchronously before
+    /// committing and pass 0.
     pub fn commit_with_deadline(&self, h: RecordHandle, ssd_deadline: u64) {
         let _g = self.swap_lock.read();
         let off = match self.resolve(h) {
@@ -526,17 +534,28 @@ impl OpLog {
             self.combiner.tickets.fetch_add(1, Ordering::Relaxed) + 1
         };
         // Offsets stay valid while every participant holds the swap lock
-        // shared: no swap can relocate a queued record under the winner.
-        let mut backoff = Backoff::new();
-        while self.combiner.served.load(Ordering::Acquire) < ticket {
-            if let Some(_d) = self.combiner.drain.try_lock() {
-                let batch = std::mem::take(&mut *self.combiner.queue.lock());
-                if !batch.is_empty() {
-                    self.drain_batch(&batch);
-                }
-            } else {
-                backoff.snooze();
+        // shared: no swap can relocate a queued record under the drainer.
+        // The clock is re-read after each wait: `yield_wait_ns` times on
+        // `Instant`, the deadline is on the telemetry clock.
+        loop {
+            let now = dstore_telemetry::now_ns();
+            if ssd_deadline <= now {
+                break;
             }
+            dstore_pmem::latency::yield_wait_ns(ssd_deadline - now);
+        }
+        if self.combiner.served.load(Ordering::Acquire) >= ticket {
+            return;
+        }
+        // Hand-off: block on the drain lock (its holder is at most one
+        // batch-deadline wait plus one `persist_many` from done). Entries
+        // leave the queue and `served` advances only under this lock, so
+        // a holder that finds its ticket unserved still has its own entry
+        // queued and drains it with the rest.
+        let _d = self.combiner.drain.lock();
+        if self.combiner.served.load(Ordering::Acquire) < ticket {
+            let batch = std::mem::take(&mut *self.combiner.queue.lock());
+            self.drain_batch(&batch);
         }
     }
 
@@ -613,6 +632,13 @@ impl OpLog {
     /// Spins until the record behind `h` commits — the conflict wait of
     /// §4.4 ("conflicting requests do not use a hold and wait approach,
     /// but rather spin on dedicated flags").
+    ///
+    /// Waits with [`Backoff`], whose yield stage is bounded by elapsed
+    /// time (~200 µs), not by a step count: the conflicting op is
+    /// normally one SSD write plus one fence (~10–20 µs) from
+    /// committing, and sleeping early would cost far more than it
+    /// saves — even a 16 µs sleep takes ~65 µs under Linux's default
+    /// 50 µs timer slack. Only a wait past the budget sleeps.
     pub fn wait_committed(&self, h: RecordHandle) {
         let t = std::time::Instant::now();
         let mut backoff = Backoff::new();
@@ -1244,6 +1270,57 @@ mod tests {
         }
         let combined = log.stats().commits_combined.load(Ordering::Relaxed);
         assert_eq!(combined, 200, "every commit went through the epoch drain");
+        assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn epoch_commits_return_after_their_own_deadline() {
+        let (p, _l, mut log) = setup(1 << 20);
+        log.set_commit_combining(true);
+        log.set_durability_epoch(true);
+        let log = Arc::new(log);
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let log = Arc::clone(&log);
+                std::thread::spawn(move || {
+                    let mut names = Vec::new();
+                    for i in 0..20u64 {
+                        let name = format!("t{t}-d{i}");
+                        let r = log.try_append(1, name.as_bytes(), &[t as u8; 24]).unwrap();
+                        // Staggered 1–3 ms deadlines, so a batch mixes
+                        // committers whose own waits end at different times.
+                        let wait = 1_000_000 + (t * 7 + i * 13) % 21 * 100_000;
+                        let deadline = dstore_telemetry::now_ns() + wait;
+                        log.commit_with_deadline(r.handle, deadline);
+                        let now = dstore_telemetry::now_ns();
+                        assert!(
+                            now >= deadline,
+                            "commit returned {} ns early",
+                            deadline - now
+                        );
+                        names.push(name.into_bytes());
+                    }
+                    names
+                })
+            })
+            .collect();
+        let mut returned: Vec<Vec<u8>> = threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        p.simulate_crash();
+        let committed = log.committed_records(0);
+        let mut durable: Vec<Vec<u8>> = committed.iter().map(|r| r.name.clone()).collect();
+        returned.sort();
+        durable.sort();
+        assert_eq!(
+            durable, returned,
+            "every returned commit must survive the crash"
+        );
+        for r in &committed {
+            // Each body holds its writer's id: the digit after the `t`.
+            assert_eq!(r.params[..24], [r.name[1] - b'0'; 24]);
+        }
         assert_eq!(log.stats().torn_commits.load(Ordering::Relaxed), 0);
     }
 
